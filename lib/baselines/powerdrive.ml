@@ -9,17 +9,18 @@
     syntax (paper Fig 8(b)); the concatenation regex merges quoted fragments
     without regard for context; only one override layer is peeled. *)
 
-let tick_re = lazy (Regexen.Regex.compile "`")
+(* regexes are compiled eagerly at module init so that parallel domains
+   share them read-only instead of racing to force a lazy *)
+let tick_re = Regexen.Regex.compile "`"
 
 (* 'abc' + 'def'  →  'abcdef'  (repeatedly) *)
-let concat_re = lazy (Regexen.Regex.compile {|'([^']*)'\s*\+\s*'([^']*)'|})
+let concat_re = Regexen.Regex.compile {|'([^']*)'\s*\+\s*'([^']*)'|}
 
 let merge_concats script =
-  let re = Lazy.force concat_re in
   let rec fix s iters =
     if iters = 0 then s
     else
-      let s' = Regexen.Regex.replace re ~template:"'$1$2'" s in
+      let s' = Regexen.Regex.replace concat_re ~template:"'$1$2'" s in
       if String.equal s' s then s else fix s' (iters - 1)
   in
   fix script 64
@@ -31,7 +32,7 @@ let collapse_lines script =
 
 let apply_rules script =
   script
-  |> Regexen.Regex.replace (Lazy.force tick_re) ~template:""
+  |> Regexen.Regex.replace tick_re ~template:""
   |> merge_concats
   |> collapse_lines
 

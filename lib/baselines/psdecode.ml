@@ -10,11 +10,12 @@
     only literal IEX spellings are overridden; execution of the sample
     triggers its real side effects and crashes lose all later layers. *)
 
-let strip_ticks_re = lazy (Regexen.Regex.compile "`")
+(* compiled eagerly at module init: parallel domains share it read-only *)
+let strip_ticks_re = Regexen.Regex.compile "`"
 
 let apply_rules script =
   (* PSDecode's `$Script -replace '``'` — strips ALL backticks *)
-  Regexen.Regex.replace (Lazy.force strip_ticks_re) ~template:"" script
+  Regexen.Regex.replace strip_ticks_re ~template:"" script
 
 let deobfuscate script =
   let cleaned = apply_rules script in

@@ -861,6 +861,11 @@ let metrics_json s =
       "}";
     ]
 
+(* the generator's manifest.json and batch's own manifest.jsonl,
+   batch_report.json, metrics.json, *.failures.json and *.trace.jsonl *)
+let is_tool_json p =
+  Filename.check_suffix p ".json" || Filename.check_suffix p ".jsonl"
+
 let run_dir ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
     ?trace_sample ?jobs ?verify ?verify_opts ?resume ?piece_cache_dir dir =
   let files =
@@ -870,6 +875,8 @@ let run_dir ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
         Array.to_list names |> List.sort String.compare
         |> List.map (Filename.concat dir)
         |> List.filter (fun p ->
+               (not (is_tool_json p))
+               &&
                match Guard.protect (fun () -> Sys.is_directory p) with
                | Ok is_dir -> not is_dir
                | Error _ -> false)

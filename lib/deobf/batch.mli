@@ -192,9 +192,11 @@ val run_dir :
   ?piece_cache_dir:string ->
   string ->
   summary
-(** Process every regular file in a directory, in sorted order.  With
-    [out_dir], also writes [out_dir/batch_report.json] and the run-level
-    observability rollup [out_dir/metrics.json]. *)
+(** Process every regular file in a directory, in sorted order, except
+    [*.json] / [*.jsonl]: the tool's own manifests, reports and traces
+    (a [generate-corpus] directory, or a previous batch's output) are not
+    scripts.  With [out_dir], also writes [out_dir/batch_report.json] and
+    the run-level observability rollup [out_dir/metrics.json]. *)
 
 val diverged_count : summary -> int
 (** Files whose verdict is {!Verify.Diverged} — outputs kept but flagged

@@ -93,18 +93,13 @@ let new_stats () =
    ([dir]) write-throughs every cacheable result to a digest-named file
    (atomic rename; payload digest + version/options [fingerprint] checked
    on load, so corruption, torn writes, and stale options all read as a
-   miss) — batch reruns and daemon restarts start warm.  Alongside the
-   result tiers, compiled piece programs ({!Pseval.Compile}) are memoized
-   on text alone: compilation has no environment inputs, so programs are
-   shared even when the binding digest differs or result caching is
-   ablated away. *)
+   miss) — batch reruns and daemon restarts start warm. *)
 module Cache = struct
   (* tier attribution: which tier answered a hit — the scrape endpoint's
      view of where the working set actually lives *)
   let m_tier_hot = T.Metrics.counter "recover.cache.tier.hot"
   let m_tier_cold = T.Metrics.counter "recover.cache.tier.cold"
   let m_tier_persistent = T.Metrics.counter "recover.cache.tier.persistent"
-  let m_tier_program = T.Metrics.counter "recover.cache.tier.program"
 
   type entry = (Value.t, string) result
 
@@ -127,8 +122,6 @@ module Cache = struct
     mutable lookups : int;
     mutable evictions : int;
     mutable persistent_loads : int;
-    mutable prog_hot : (string, Pseval.Compile.program) Hashtbl.t;
-    mutable prog_cold : (string, Pseval.Compile.program) Hashtbl.t;
   }
 
   let m_resets = T.Metrics.counter "recover.cache.resets"
@@ -144,9 +137,7 @@ module Cache = struct
       hits = 0;
       lookups = 0;
       evictions = 0;
-      persistent_loads = 0;
-      prog_hot = Hashtbl.create 64;
-      prog_cold = Hashtbl.create 64 }
+      persistent_loads = 0 }
 
   let locked t f =
     Mutex.lock t.mu;
@@ -281,14 +272,13 @@ module Cache = struct
 
   let m_shrinks = T.Metrics.counter "recover.cache.shrinks"
 
-  (* memory-pressure shed: drop both cold generations (results and
-     programs) without touching the hot working set — the cheapest bytes to
-     give back, since anything recently used was promoted to hot *)
+  (* memory-pressure shed: drop the cold generation without touching the
+     hot working set — the cheapest bytes to give back, since anything
+     recently used was promoted to hot *)
   let shrink t =
     locked t (fun () ->
         t.evictions <- t.evictions + Hashtbl.length t.cold;
         t.cold <- Hashtbl.create 64;
-        t.prog_cold <- Hashtbl.create 64;
         T.Metrics.incr m_shrinks;
         T.Metrics.set m_entries (Hashtbl.length t.hot))
 
@@ -302,42 +292,6 @@ module Cache = struct
           lookups = t.lookups;
           evictions = t.evictions;
           persistent_loads = t.persistent_loads })
-
-  (* ----- compiled-program tier ----- *)
-
-  (* programs hold closures, so they never touch the persistent tier; they
-     ride the same two-generation discipline on their own tables (flips are
-     not counted in [recover.cache.resets] — that counter is the result
-     cache's) *)
-  let flip_progs_locked t =
-    t.prog_cold <- t.prog_hot;
-    t.prog_hot <- Hashtbl.create 64
-
-  let find_program t text =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.prog_hot text with
-        | Some _ as r ->
-            T.Metrics.incr m_tier_program;
-            r
-        | None -> (
-            match Hashtbl.find_opt t.prog_cold text with
-            | Some p ->
-                T.Metrics.incr m_tier_program;
-                if Hashtbl.length t.prog_hot >= t.gen_cap then
-                  flip_progs_locked t;
-                Hashtbl.replace t.prog_hot text p;
-                Hashtbl.remove t.prog_cold text;
-                Some p
-            | None -> None))
-
-  let add_program t text prog =
-    locked t (fun () ->
-        if
-          Hashtbl.length t.prog_hot >= t.gen_cap
-          && not (Hashtbl.mem t.prog_hot text)
-        then flip_progs_locked t;
-        Hashtbl.replace t.prog_hot text prog;
-        Hashtbl.remove t.prog_cold text)
 end
 
 type pass_state = {
@@ -412,18 +366,6 @@ let cacheable_error = function
   | "timeout" | "stack-exhausted" -> false
   | _ -> true
 
-(* compile-once-run-many: the closure-compiled form of a piece text, from
-   the cache's program tier when warm.  Compilation is deterministic, draws
-   no chaos probes, and is environment-independent, so memoizing on text
-   alone is sound even across scripts with different traced bindings. *)
-let program_for st text =
-  match Cache.find_program st.cache text with
-  | Some p -> p
-  | None ->
-      let p = Pseval.Compile.compile text in
-      Cache.add_program st.cache text p;
-      p
-
 let cache_key st text =
   if not st.opts.use_piece_cache then None
   else
@@ -489,9 +431,8 @@ let invoke_piece ?(kind = "piece") st text =
         let result =
           guarded st (fun () ->
               Pscommon.Chaos.probe "recover.piece";
-              let prog = program_for st text in
               let env = fresh_env ~for_bytes:(String.length text) st in
-              Pseval.Compile.run env prog)
+              Pseval.Interp.invoke_piece env text)
         in
         let dt_ms = (Guard.now () -. t0) *. 1000.0 in
         T.Metrics.observe m_piece_ms dt_ms;
@@ -804,12 +745,11 @@ let trace_assignment st ~in_guard (stmt : A.t) =
             let traced =
               guarded st (fun () ->
                   let text = A.text st.src stmt in
-                  let prog = program_for st text in
                   let env = fresh_env ~for_bytes:(String.length text) st in
                   (match Tracer.lookup st.table name with
                   | Some v -> Pseval.Env.set_var env name v
                   | None -> ());
-                  match Pseval.Compile.run_script env prog with
+                  match Pseval.Interp.run_script env text with
                   | Ok _ -> (
                       ignore op;
                       Ok (Pseval.Env.get_var env name))

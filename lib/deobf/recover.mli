@@ -75,12 +75,7 @@ val new_stats : unit -> stats
     and the caller's version/options [fingerprint]); any defect — torn
     write, corruption, foreign fingerprint — loads as a miss, never a
     crash.  A later run pointed at the same [dir] with the same
-    fingerprint starts warm.
-
-    The cache also memoizes closure-compiled piece programs
-    ({!Pseval.Compile}) keyed on text alone; programs are
-    environment-independent, never persisted, and shared even when result
-    caching is ablated off. *)
+    fingerprint starts warm. *)
 module Cache : sig
   type t
 
@@ -109,10 +104,10 @@ module Cache : sig
   val stats : t -> stats
 
   val shrink : t -> unit
-  (** Memory-pressure shed: drop the cold generation of both the result and
-      compiled-program tiers (counted in [recover.cache.shrinks] and the
-      eviction stats), keeping the hot working set.  The persistent tier is
-      untouched, so shrunk entries reload on demand. *)
+  (** Memory-pressure shed: drop the cold generation (counted in
+      [recover.cache.shrinks] and the eviction stats), keeping the hot
+      working set.  The persistent tier is untouched, so shrunk entries
+      reload on demand. *)
 end
 
 val is_recoverable : Psast.Ast.t -> bool

@@ -1109,8 +1109,9 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
       | Env.Sandbox ->
           (* unresolved commands are otherwise invisible to the sandbox;
              the effect log needs them so a rewrite that drops or alters
-             one shows up as a behavioural divergence *)
-          Env.log_command env (Strcase.lower original_name)
+             one shows up as a behavioural divergence.  Logged under the
+             alias-resolved name, so expanding an alias is not one. *)
+          Env.log_command env lname
             (List.map Value.to_string (positional ()));
           if Strcase.ends_with ~suffix:".exe" lname then
             Env.record env (Env.Process_start original_name));
@@ -1272,8 +1273,3 @@ let invoke_piece env src =
         [ ("steps", T.I env.Env.steps);
           ("ok", T.B (Result.is_ok result)) ];
   result
-
-let eval_expression_ast env ~src ast =
-  let ctx = { env; src } in
-  eval_expr ctx ast
-

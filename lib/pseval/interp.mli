@@ -31,33 +31,6 @@ val invoke_piece : Env.t -> string -> (Psvalue.Value.t, string) result
     value ([Null] / the value / an array) — the paper's "Recovery Based on
     Invoke" (§III-B2). *)
 
-val eval_expression_ast : Env.t -> src:string -> Psast.Ast.t -> Psvalue.Value.t
-
-(** {2 Entry points for {!Compile}}
-
-    The closure compiler specializes the common node shapes and must defer
-    to the interpreter's exact semantics for everything it pre-resolves
-    only partially (dynamic member names, script-block invocation, .NET
-    object construction). *)
-
-val read_variable : ctx -> string -> Psvalue.Value.t
-(** [$name] read with the automatic-variable special cases ([$args],
-    [$input], [$ofs]) and mode-dependent undefined-variable behavior. *)
-
-val invoke_script_block :
-  ctx -> Psvalue.Value.sb -> Psvalue.Value.t list -> input:Psvalue.Value.t list ->
-  Psvalue.Value.t list
-(** Run a script-block value in a fresh scope with bound parameters. *)
-
-val construct_object : ctx -> string -> Psvalue.Value.t list -> Psvalue.Value.t
-(** [New-Object] / [[type]::new()] construction of the simulated objects. *)
-
-val type_display_name : string -> string
-(** Display name of a type literal ([[text.encoding]] → ["System.Text.Encoding"]). *)
-
-val strip_braces : string -> string
-(** Script-block source text with its outer braces removed. *)
-
 val describe_exception : exn -> string option
 (** Render the evaluator's exception family to a message; [None] for
     foreign exceptions. *)

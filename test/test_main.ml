@@ -14,6 +14,7 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("obsplane", Test_obsplane.suite);
       ("parallel", Test_parallel.suite);
+      ("domain-safety", Test_domain_safety.suite);
       ("piece-cache", Test_piece_cache.suite);
       ("ops", Test_ops.suite);
       ("obfuscator", Test_obfuscator.suite);

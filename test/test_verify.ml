@@ -62,6 +62,25 @@ let test_effect_log_unwrap_invariant () =
   | Ok la, Ok lb -> Alcotest.(check (list string)) "logs equal" la lb
   | _ -> Alcotest.fail "contained"
 
+let test_effect_log_alias_invariant () =
+  (* the token phase expands aliases; an unresolved command must be logged
+     under its canonical name, or the expansion reads as a divergence and
+     is rolled back *)
+  let a = Sandbox.run_for_verify "iwmi -class X" in
+  let b = Sandbox.run_for_verify "Invoke-WmiMethod -class X" in
+  (match (a, b) with
+  | Ok la, Ok lb -> Alcotest.(check (list string)) "logs equal" la lb
+  | _ -> Alcotest.fail "contained");
+  let opts = { V.default_opts with V.use_ref_cache = false } in
+  let g, o =
+    V.run_guarded ~opts
+      "$c = 'calc'\niwmi -Class Win32_Process -Name Create -ArgumentList $c | Out-Null"
+  in
+  check_s "verdict" "equivalent" (V.verdict_name o.V.verdict);
+  check_b "nothing rolled back" true (o.V.suppressed = []);
+  check_b "alias expanded" true
+    (Pscommon.Strcase.contains ~needle:"Invoke-WmiMethod" g.E.result.E.output)
+
 let test_effect_log_detects_output_change () =
   let a = Sandbox.run_for_verify "Write-Output 'one'" in
   let b = Sandbox.run_for_verify "Write-Output 'two'" in
@@ -409,6 +428,8 @@ let suite =
       test_effect_log_rename_invariant;
     Alcotest.test_case "effect log is unwrap-invariant" `Quick
       test_effect_log_unwrap_invariant;
+    Alcotest.test_case "effect log is alias-invariant" `Quick
+      test_effect_log_alias_invariant;
     Alcotest.test_case "effect log detects output change" `Quick
       test_effect_log_detects_output_change;
     Alcotest.test_case "pipeline cursors not compared" `Quick
