@@ -30,114 +30,6 @@ let output_arg =
 
 module T = Pscommon.Telemetry
 
-let pct hits attempted =
-  if attempted = 0 then 0.0
-  else 100.0 *. float_of_int hits /. float_of_int attempted
-
-let phase_ms_line timings =
-  String.concat ", "
-    (List.map (fun (p, ms) -> Printf.sprintf "%s %.1f" p ms) timings)
-
-(* --summary: the self-healing plane's state, shared by the single-file and
-   batch digests — worker churn counters, quarantined rules, and where the
-   heap sits against the governor's watermarks *)
-let print_selfheal_summary () =
-  let c name = T.Metrics.counter_value (T.Metrics.counter name) in
-  Printf.eprintf
-    "workers: %d recycled (%d under memory pressure), %d wedged, %d \
-     respawns (%d failed)\n"
-    (c "pool.service.recycled")
-    (c "pool.service.recycled_mem")
-    (c "pool.service.wedged")
-    (c "pool.service.respawns")
-    (c "pool.service.respawn_failures");
-  (match Deobf.Quarantine.snapshot () with
-  | [] ->
-      Printf.eprintf "quarantine: %s, no open rules\n"
-        (if Deobf.Quarantine.enabled () then "on" else "off")
-  | rules ->
-      Printf.eprintf "quarantine: %s\n"
-        (String.concat ", "
-           (List.map (fun (rule, st) -> rule ^ "=" ^ st) rules)));
-  Printf.eprintf "memory: %s (heap %.1f MiB%s)\n"
-    (Pscommon.Memwatch.level_name (Pscommon.Memwatch.level ()))
-    (float_of_int (Pscommon.Memwatch.heap_bytes ()) /. 1048576.0)
-    (match Pscommon.Memwatch.soft_watermark_bytes () with
-    | None -> ", watermarks off"
-    | Some b -> Printf.sprintf ", soft %.0f MiB" (float_of_int b /. 1048576.0))
-
-(* --summary: the one-screen digest of a single-file run *)
-let print_file_summary src (guarded : Deobf.Engine.guarded) =
-  let result = guarded.Deobf.Engine.result in
-  let stats = result.Deobf.Engine.stats in
-  let score_before =
-    Deobf.Score.score_of_detection (Deobf.Score.detect src)
-  in
-  let score_after =
-    Deobf.Score.score_of_detection
-      (Deobf.Score.detect result.Deobf.Engine.output)
-  in
-  Printf.eprintf
-    "== summary ==\n\
-     score: %d -> %d\n\
-     pieces: %d recovered, %d blocked, %d attempted (cache hit-rate %.1f%%)\n\
-     variables substituted: %d, layers unwrapped: %d\n\
-     dynamic: %d recovered of %d attempted, %d unverifiable\n\
-     iterations: %d, changed: %b, contained failures: %d\n\
-     phase ms: %s\n"
-    score_before score_after stats.Deobf.Recover.pieces_recovered
-    stats.Deobf.Recover.pieces_blocked stats.Deobf.Recover.pieces_attempted
-    (pct stats.Deobf.Recover.cache_hits stats.Deobf.Recover.pieces_attempted)
-    stats.Deobf.Recover.variables_substituted
-    stats.Deobf.Recover.layers_unwrapped
-    stats.Deobf.Recover.dynamic_recovered stats.Deobf.Recover.dynamic_attempted
-    stats.Deobf.Recover.dynamic_unverifiable result.Deobf.Engine.iterations
-    result.Deobf.Engine.changed
-    (List.length guarded.Deobf.Engine.failures)
-    (phase_ms_line guarded.Deobf.Engine.timings);
-  print_selfheal_summary ()
-
-(* --summary: the one-screen digest of a batch run *)
-let print_batch_summary (s : Deobf.Batch.summary) =
-  let sum f =
-    List.fold_left
-      (fun acc (o : Deobf.Batch.outcome) -> acc + f o.Deobf.Batch.stats)
-      0 s.Deobf.Batch.outcomes
-  in
-  let recovered = sum (fun st -> st.Deobf.Recover.pieces_recovered) in
-  let blocked = sum (fun st -> st.Deobf.Recover.pieces_blocked) in
-  let attempted = sum (fun st -> st.Deobf.Recover.pieces_attempted) in
-  let hits = sum (fun st -> st.Deobf.Recover.cache_hits) in
-  let unwrapped = sum (fun st -> st.Deobf.Recover.layers_unwrapped) in
-  let dyn_attempted = sum (fun st -> st.Deobf.Recover.dynamic_attempted) in
-  let dyn_recovered = sum (fun st -> st.Deobf.Recover.dynamic_recovered) in
-  let dyn_unverifiable =
-    sum (fun st -> st.Deobf.Recover.dynamic_unverifiable)
-  in
-  let phase_totals =
-    List.fold_left
-      (fun acc (o : Deobf.Batch.outcome) ->
-        List.fold_left
-          (fun acc (phase, ms) ->
-            let prev = Option.value ~default:0.0 (List.assoc_opt phase acc) in
-            (phase, prev +. ms) :: List.remove_assoc phase acc)
-          acc o.Deobf.Batch.phase_ms)
-      [] s.Deobf.Batch.outcomes
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  Printf.eprintf
-    "== batch summary ==\n\
-     files: %d (%d clean, %d degraded) in %.1f ms\n\
-     pieces: %d recovered, %d blocked, %d attempted (cache hit-rate %.1f%%)\n\
-     layers unwrapped: %d\n\
-     dynamic: %d recovered of %d attempted, %d unverifiable\n\
-     phase ms: %s\n"
-    s.Deobf.Batch.total s.Deobf.Batch.clean s.Deobf.Batch.degraded
-    s.Deobf.Batch.wall_ms recovered blocked attempted (pct hits attempted)
-    unwrapped dyn_recovered dyn_attempted dyn_unverifiable
-    (phase_ms_line phase_totals);
-  print_selfheal_summary ()
-
 let deobfuscate_cmd =
   let run input output no_tracing no_blocklist no_multilayer no_rename
       no_reformat no_token_phase no_piece_cache no_partial no_dynamic chaos
@@ -299,7 +191,8 @@ let deobfuscate_cmd =
           Printf.sprintf "%d files: %d clean, %d degraded (reports in %s)"
             summary.Deobf.Batch.total summary.Deobf.Batch.clean
             summary.Deobf.Batch.degraded out_dir);
-      if summary_flag then print_batch_summary summary;
+      if summary_flag then
+        prerr_string (Deobf.Snapshot.to_text (Deobf.Batch.snapshot summary));
       (* exit 0 only when every file came through clean at full strength;
          2 signals that at least one file degraded, needed the retry
          ladder, or failed the semantic gate without a successful rollback,
@@ -313,10 +206,15 @@ let deobfuscate_cmd =
       let file_trace =
         match trace with None -> None | Some path -> Some (path, T.create ())
       in
+      (* each run gets a fresh cache, as it would by default; the last
+         one is kept for the --summary snapshot *)
+      let last_cache = ref None in
       let run_once ?(suppress = []) () =
+        let cache = Deobf.Recover.Cache.create () in
+        last_cache := Some cache;
         Deobf.Engine.run_guarded ~options
           ~timeout_s:(Option.value timeout ~default:infinity)
-          ~suppress src
+          ~cache ~suppress src
       in
       let compute () =
         let guarded = run_once () in
@@ -356,7 +254,14 @@ let deobfuscate_cmd =
               Printf.sprintf "contained failure in %s: %s" site.phase
                 (Pscommon.Guard.failure_to_string site.failure)))
         guarded.Deobf.Engine.failures;
-      if summary_flag then print_file_summary src guarded;
+      if summary_flag then
+        Option.iter
+          (fun cache ->
+            prerr_string
+              (Deobf.Snapshot.to_text (Deobf.Snapshot.of_guarded ~cache guarded));
+            Printf.eprintf "score: %d -> %d\n" (Deobf.Score.score src)
+              (Deobf.Score.score result.Deobf.Engine.output))
+          !last_cache;
       if stats then
         Printf.eprintf
           "pieces recovered: %d\nvariables substituted: %d\nlayers unwrapped: %d\npieces attempted: %d (blocked: %d, cache hits: %d)\niterations: %d\nchanged: %b\n"

@@ -64,7 +64,7 @@ type summary = {
   wall_ms : float;
   jobs_requested : int;
   jobs_effective : int;
-  cache_stats : Recover.Cache.stats option;
+  cache_stats : Recover.Cache.stats;
   outcomes : outcome list;
 }
 
@@ -603,7 +603,7 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
      clamp is visible in the summary *)
   let jobs_effective = max 1 (min jobs (Pool.recommended_jobs ())) in
   (* the process-global metrics registry becomes a per-run rollup: zeroed
-     here, aggregated across every pool domain, snapshotted by metrics_json *)
+     here, aggregated across every pool domain, snapshotted by [snapshot] *)
   T.Metrics.reset ();
   let ensure_failure = function
     | None -> None
@@ -703,163 +703,77 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
     wall_ms = (Guard.now () -. started) *. 1000.0;
     jobs_requested = jobs;
     jobs_effective;
-    cache_stats = Some (Recover.Cache.stats cache);
+    cache_stats = Recover.Cache.stats cache;
     outcomes;
   }
 
-(* ---------- run-level metrics rollup ---------- *)
-
-let sum_stats f outcomes =
-  List.fold_left (fun acc o -> acc + f o.stats) 0 outcomes
+(* ---------- run-level rollup ---------- *)
 
 let diverged_count s =
   List.length
     (List.filter (fun o -> o.verdict = Some Verify.Diverged) s.outcomes)
 
-let verdict_counts outcomes =
-  let count name =
-    List.length
-      (List.filter
-         (fun o ->
-           match o.verdict with
-           | Some v -> Verify.verdict_name v = name
-           | None -> false)
-         outcomes)
+let snapshot s =
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 s.outcomes in
+  let count p = sum (fun o -> if p o then 1 else 0) in
+  let stat f = sum (fun o -> f o.stats) in
+  (* (key, occurrences) per distinct key, sorted by key *)
+  let tally keys =
+    List.sort_uniq String.compare keys
+    |> List.map (fun k -> (k, List.length (List.filter (String.equal k) keys)))
   in
-  [
-    ("equivalent", count "equivalent");
-    ("rolled_back", count "rolled_back");
-    ("diverged", count "diverged");
-    ("unverifiable", count "unverifiable");
-    ("off", List.length (List.filter (fun o -> o.verdict = None) outcomes));
-  ]
-
-(* counts of contained failures keyed "phase/kind", sorted *)
-let failure_site_counts outcomes =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun o ->
-      List.iter
-        (fun (site : Engine.failure_site) ->
-          let key =
-            site.Engine.phase ^ "/" ^ Guard.failure_label site.Engine.failure
-          in
-          Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
-        o.failures)
-    outcomes;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let phase_totals outcomes =
-  List.fold_left
-    (fun acc o ->
-      List.fold_left
-        (fun acc (phase, ms) ->
-          let prev = Option.value ~default:0.0 (List.assoc_opt phase acc) in
-          (phase, prev +. ms) :: List.remove_assoc phase acc)
-        acc o.phase_ms)
-    [] outcomes
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(** The run-level observability rollup written as [metrics.json]: failure
-    sites, cache hit-rate, per-phase wall totals, and the full metrics
-    snapshot (counters, gauges, latency histograms) aggregated across every
-    pool domain of the run. *)
-let metrics_json s =
-  let attempted = sum_stats (fun st -> st.Recover.pieces_attempted) s.outcomes in
-  let hits = sum_stats (fun st -> st.Recover.cache_hits) s.outcomes in
-  let hit_rate =
-    if attempted = 0 then 0.0 else float_of_int hits /. float_of_int attempted
+  let phases =
+    List.sort_uniq String.compare
+      (List.concat_map (fun o -> List.map fst o.phase_ms) s.outcomes)
   in
-  String.concat "\n"
-    [
-      "{";
-      Printf.sprintf "  \"total\": %d," s.total;
-      Printf.sprintf "  \"clean\": %d," s.clean;
-      Printf.sprintf "  \"degraded\": %d," s.degraded;
-      Printf.sprintf "  \"wall_ms\": %.1f," s.wall_ms;
-      Printf.sprintf "  \"failure_sites\": {%s},"
-        (String.concat ", "
-           (List.map
-              (fun (k, n) -> Printf.sprintf "%s: %d" (Report.json_string k) n)
-              (failure_site_counts s.outcomes)));
-      (* per-piece counters from the outcomes plus the shared cache's own
-         view: occupancy, generation-flip evictions, and how many hits the
-         persistent tier answered *)
-      (let cs =
-         Option.value
-           ~default:
-             { Recover.Cache.entries = 0; hits = 0; lookups = 0;
-               evictions = 0; persistent_loads = 0 }
-           s.cache_stats
-       in
-       Printf.sprintf
-         "  \"cache\": {\"pieces_attempted\": %d, \"cache_hits\": %d, \
-          \"hit_rate\": %.3f, \"entries\": %d, \"lookups\": %d, \
-          \"hits\": %d, \"evictions\": %d, \"persistent_loads\": %d},"
-         attempted hits hit_rate cs.Recover.Cache.entries
-         cs.Recover.Cache.lookups cs.Recover.Cache.hits
-         cs.Recover.Cache.evictions cs.Recover.Cache.persistent_loads);
-      Printf.sprintf "  \"jobs\": {\"requested\": %d, \"effective\": %d},"
-        s.jobs_requested s.jobs_effective;
-      Printf.sprintf "  \"phase_ms_total\": {%s},"
-        (String.concat ", "
-           (List.map
-              (fun (p, ms) -> Printf.sprintf "%s: %.1f" (Report.json_string p) ms)
-              (phase_totals s.outcomes)));
-      (* how far down the ladder the run had to go, and how much text the
-         partial-parse recovery salvaged *)
-      Printf.sprintf "  \"degraded_modes\": {%s},"
-        (String.concat ", "
-           (List.map
-              (fun m ->
-                Printf.sprintf "%s: %d"
-                  (Report.json_string (mode_name m))
-                  (List.length
-                     (List.filter (fun o -> o.degraded_mode = m) s.outcomes)))
-              [ Full; Static; Token_only; Passthrough ]));
-      Printf.sprintf "  \"retries_total\": %d,"
-        (List.fold_left (fun acc o -> acc + o.retries) 0 s.outcomes);
-      (* the semantic gate's verdict distribution and how much of the run
-         was answered from the resume journal *)
-      Printf.sprintf "  \"verify\": {%s},"
-        (String.concat ", "
-           (List.map
-              (fun (k, n) -> Printf.sprintf "%s: %d" (Report.json_string k) n)
-              (verdict_counts s.outcomes)));
-      Printf.sprintf "  \"resumed\": %d,"
-        (List.length (List.filter (fun o -> o.resumed) s.outcomes));
-      (* dynamic-recovery funnel: regions attempted, regions replaced by
-         provenance-mapped literals, regions the gate later rolled back
-         (from the run-local metrics registry), and regions degraded to
-         static-only *)
-      Printf.sprintf
-        "  \"dynamic\": {\"attempted\": %d, \"recovered\": %d, \
-         \"rolled_back\": %d, \"unverifiable\": %d},"
-        (sum_stats (fun st -> st.Recover.dynamic_attempted) s.outcomes)
-        (sum_stats (fun st -> st.Recover.dynamic_recovered) s.outcomes)
-        (T.Metrics.counter_value (T.Metrics.counter "verify.dynamic_rolled_back"))
-        (sum_stats (fun st -> st.Recover.dynamic_unverifiable) s.outcomes);
-      Printf.sprintf
-        "  \"regions\": {\"total\": %d, \"recovered\": %d},"
-        (List.fold_left (fun acc o -> acc + o.regions_total) 0 s.outcomes)
-        (List.fold_left (fun acc o -> acc + o.regions_recovered) 0 s.outcomes);
-      (* self-healing state: which rules the adaptive quarantine currently
-         distrusts, and where the heap sits against the governor's
-         watermarks *)
-      Printf.sprintf "  \"quarantine\": {\"enabled\": %b, \"rules\": {%s}},"
-        (Quarantine.enabled ())
-        (String.concat ", "
-           (List.map
-              (fun (rule, st) ->
-                Printf.sprintf "%s: %s" (Report.json_string rule)
-                  (Report.json_string st))
-              (Quarantine.snapshot ())));
-      Printf.sprintf "  \"memory\": %s," (Pscommon.Memwatch.to_json ());
-      Printf.sprintf "  \"metrics\": %s"
-        (T.Metrics.snapshot_to_json (T.Metrics.snapshot ()));
-      "}";
-    ]
+  let phase_ms ph o = Option.value ~default:0.0 (List.assoc_opt ph o.phase_ms) in
+  let pieces =
+    { Recover.pieces_recovered = stat (fun st -> st.Recover.pieces_recovered);
+      variables_substituted = stat (fun st -> st.Recover.variables_substituted);
+      layers_unwrapped = stat (fun st -> st.Recover.layers_unwrapped);
+      pieces_attempted = stat (fun st -> st.Recover.pieces_attempted);
+      pieces_blocked = stat (fun st -> st.Recover.pieces_blocked);
+      cache_hits = stat (fun st -> st.Recover.cache_hits);
+      edits_recorded = stat (fun st -> st.Recover.edits_recorded);
+      dynamic_attempted = stat (fun st -> st.Recover.dynamic_attempted);
+      dynamic_recovered = stat (fun st -> st.Recover.dynamic_recovered);
+      dynamic_unverifiable = stat (fun st -> st.Recover.dynamic_unverifiable) }
+  in
+  let run =
+    { Snapshot.total = s.total; clean = s.clean; degraded = s.degraded;
+      wall_ms = s.wall_ms;
+      failure_sites =
+        tally
+          (List.concat_map
+             (fun o ->
+               List.map
+                 (fun (f : Engine.failure_site) ->
+                   f.Engine.phase ^ "/" ^ Guard.failure_label f.Engine.failure)
+                 o.failures)
+             s.outcomes);
+      jobs_requested = s.jobs_requested;
+      jobs_effective = s.jobs_effective;
+      phase_ms_total =
+        List.map
+          (fun ph ->
+            (ph, List.fold_left (fun acc o -> acc +. phase_ms ph o) 0.0 s.outcomes))
+          phases;
+      degraded_modes =
+        List.map
+          (fun m -> (mode_name m, count (fun o -> o.degraded_mode = m)))
+          [ Full; Static; Token_only; Passthrough ];
+      retries_total = sum (fun o -> o.retries);
+      verdicts =
+        List.map
+          (fun v ->
+            (v, count (fun o -> Option.map Verify.verdict_name o.verdict = Some v)))
+          [ "equivalent"; "rolled_back"; "diverged"; "unverifiable" ]
+        @ [ ("off", count (fun o -> o.verdict = None)) ];
+      resumed = count (fun o -> o.resumed);
+      regions_total = sum (fun o -> o.regions_total);
+      regions_recovered = sum (fun o -> o.regions_recovered) }
+  in
+  Snapshot.make ~run ~pieces s.cache_stats
 
 (* the generator's manifest.json and batch's own manifest.jsonl,
    batch_report.json, metrics.json, *.failures.json and *.trace.jsonl *)
@@ -896,6 +810,6 @@ let run_dir ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
         (Guard.protect (fun () ->
              write_file
                (Filename.concat out "metrics.json")
-               (metrics_json summary ^ "\n")))
+               (Snapshot.to_json (snapshot summary) ^ "\n")))
   | None -> ());
   summary

@@ -54,9 +54,8 @@ type summary = {
   jobs_effective : int;
       (** after clamping to {!Pscommon.Pool.recommended_jobs} — the pool
           size the run actually used *)
-  cache_stats : Recover.Cache.stats option;
-      (** end-of-run snapshot of the shared piece cache ([None] only for
-          summaries built outside {!run_files}) *)
+  cache_stats : Recover.Cache.stats;
+      (** end-of-run snapshot of the shared piece cache *)
   outcomes : outcome list;  (** in processing order *)
 }
 
@@ -205,12 +204,10 @@ val diverged_count : summary -> int
 val outcome_to_json : outcome -> string
 val summary_to_json : summary -> string
 
-val metrics_json : summary -> string
-(** The run-level rollup written as [metrics.json]: contained-failure
-    counts keyed ["phase/kind"], piece-cache hit rate, per-phase wall-time
-    totals, per-rung [degraded_modes] counts with [retries_total], the
-    partial-parse [regions] totals, and the current
-    {!Pscommon.Telemetry.Metrics} snapshot
-    (counters, gauges and latency histograms aggregated across all pool
-    domains).  Meaningful right after {!run_files}/{!run_dir}, which reset
-    the registry at the start of the run. *)
+val snapshot : summary -> Snapshot.t
+(** The run-level rollup, with its batch-only [run] block; {!run_dir}
+    writes it as [metrics.json] ({!Snapshot.to_json}).  The recovery and
+    dynamic counters are summed over the outcomes, the cache figures are
+    the shared cache's own, and the metrics registry covers exactly this
+    run when taken right after {!run_files}/{!run_dir}, which reset it at
+    the start of the run. *)

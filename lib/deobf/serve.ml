@@ -398,56 +398,6 @@ let health_json ~id ~started ~service ~draining cfg =
     cfg.jobs cfg.queue_cap
     (Unix.gettimeofday () -. started)
 
-(* the self-healing plane's state, shared between the daemon's [metrics]
-   op and the CLI's [--summary] rendering *)
-let selfheal_json () =
-  let c name = T.Metrics.counter_value (T.Metrics.counter name) in
-  Printf.sprintf
-    "{\"recycled\": %d, \"recycled_mem\": %d, \"wedged\": %d, \
-     \"respawns\": %d, \"respawn_failures\": %d, \
-     \"quarantine\": {\"enabled\": %b, \"rules\": {%s}}, \"memory\": %s}"
-    (c "pool.service.recycled")
-    (c "pool.service.recycled_mem")
-    (c "pool.service.wedged")
-    (c "pool.service.respawns")
-    (c "pool.service.respawn_failures")
-    (Quarantine.enabled ())
-    (String.concat ", "
-       (List.map
-          (fun (rule, st) ->
-            Printf.sprintf "%s: %s" (Report.json_string rule)
-              (Report.json_string st))
-          (Quarantine.snapshot ())))
-    (Memwatch.to_json ())
-
-let metrics_json ~id ~cache =
-  let cs = Recover.Cache.stats cache in
-  let hit_rate =
-    if cs.Recover.Cache.lookups = 0 then 0.0
-    else
-      float_of_int cs.Recover.Cache.hits
-      /. float_of_int cs.Recover.Cache.lookups
-  in
-  (* the dynamic-recovery funnel over the daemon's lifetime, from the
-     process-wide metrics registry (workers share it) *)
-  let dyn name = T.Metrics.counter_value (T.Metrics.counter name) in
-  Printf.sprintf
-    "{\"id\": %s, \"status\": \"ok\", \"op\": \"metrics\", \
-     \"cache\": {\"entries\": %d, \"lookups\": %d, \"hits\": %d, \
-     \"hit_rate\": %.3f, \"evictions\": %d, \"persistent_loads\": %d}, \
-     \"dynamic\": {\"attempted\": %d, \"recovered\": %d, \
-     \"rolled_back\": %d, \"unverifiable\": %d}, \
-     \"selfheal\": %s, \"metrics\": %s}"
-    id cs.Recover.Cache.entries cs.Recover.Cache.lookups
-    cs.Recover.Cache.hits hit_rate cs.Recover.Cache.evictions
-    cs.Recover.Cache.persistent_loads
-    (dyn "recover.dynamic.attempted")
-    (dyn "recover.dynamic.recovered")
-    (dyn "verify.dynamic_rolled_back")
-    (dyn "recover.dynamic.unverifiable")
-    (selfheal_json ())
-    (Jsonl.oneline (T.Metrics.snapshot_to_json (T.Metrics.snapshot ())))
-
 (* ---------- sockets ---------- *)
 
 let open_socket = function
@@ -650,7 +600,12 @@ let serve_loop cfg stop listen_fd =
       | "health" ->
           send conn
             (health_json ~id ~started ~service ~draining:(Atomic.get stop) cfg)
-      | "metrics" -> send conn (metrics_json ~id ~cache)
+      | "metrics" ->
+          send conn
+            (Jsonl.oneline
+               (Snapshot.to_json
+                  ~head:[ ("id", id); ("status", "\"ok\""); ("op", "\"metrics\"") ]
+                  (Snapshot.of_cache cache)))
       | "shutdown" ->
           send conn
             (Printf.sprintf "{\"id\": %s, \"status\": \"ok\", \"op\": \"shutdown\"}" id);
@@ -767,9 +722,6 @@ let serve_loop cfg stop listen_fd =
         (Pool.Service.inflight service));
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   Pool.Service.shutdown service;
-  (* the quarantine flag is process-global: restore the disabled default
-     so an embedding process (tests, benches) gets batch semantics back *)
-  Quarantine.set_enabled false;
   (match cfg.metrics_out with
   | None -> ()
   | Some path ->
@@ -777,8 +729,11 @@ let serve_loop cfg stop listen_fd =
         (Guard.protect (fun () ->
              Out_channel.with_open_bin path (fun oc ->
                  Out_channel.output_string oc
-                   (T.Metrics.snapshot_to_json (T.Metrics.snapshot ()));
+                   (Snapshot.to_json (Snapshot.of_cache cache));
                  Out_channel.output_char oc '\n'))));
+  (* the quarantine flag is process-global: restore the disabled default
+     so an embedding process (tests, benches) gets batch semantics back *)
+  Quarantine.set_enabled false;
   T.Log.info (fun () ->
       Printf.sprintf "drained: %d request(s) served, %d shed, %d error(s)"
         (T.Metrics.counter_value m_requests)

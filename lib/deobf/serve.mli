@@ -41,9 +41,9 @@
     ({!Recover.Cache}) for the life of the process — a piece recovered for
     one request is a hit for every later one, whichever worker runs it —
     and with [piece_cache_dir] it persists across daemon restarts.  The
-    ["metrics"] op reports the cache's occupancy and hit rate alongside
-    the self-healing state ([selfheal]: recycle/wedge/respawn counters,
-    quarantined rules, memory watermark) and the registry snapshot.
+    ["metrics"] op answers with the run snapshot ({!Snapshot.of_cache}):
+    cache, dynamic funnel, self-healing state ([selfheal]: worker
+    counters, quarantined rules, memory) and the registry snapshot.
 
     {2 Self-healing}
 
@@ -96,7 +96,7 @@ type config = {
       (** with [trace_dir]: serialize only every n-th request's trace;
           the rest record into a reusable per-domain scratch ring *)
   metrics_out : string option;
-      (** write a final metrics snapshot here on drain *)
+      (** write the final run snapshot here on drain *)
   metrics_addr : bind option;
       (** serve a Prometheus scrape endpoint ([GET /metrics]) on this
           address, on its own listener domain — scrapes never contend

@@ -20,11 +20,23 @@ let url_re =
   Regexen.Regex.compile {|https?://[a-z0-9\.\-]+(:\d+)?[a-z0-9\./\-_%\?=&\+~]*|}
 
 let ip_re = Regexen.Regex.compile {|\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b|}
-let ps1_re = Regexen.Regex.compile {|[a-z0-9_\-\\/:\.\$%]+\.ps1\b|}
 let powershell_re = Regexen.Regex.compile {|\bpowershell(\.exe)?\b|}
 
 let matches_of re src =
   List.map (fun m -> Regexen.Regex.matched_text src m) (Regexen.Regex.find_all re src)
+  |> List.sort_uniq Strcase.compare
+
+(* [.ps1] paths.  A match of [[path-char]+\.ps1\b] lies inside one maximal
+   run of path characters and starts where the run starts (a match starting
+   later could be extended back to it), so each run is matched once,
+   anchored.  Searching the whole text instead retries at every start
+   inside a run, which is quadratic in its length. *)
+let path_run_re = Regexen.Regex.compile {|[a-z0-9_\-\\/:\.\$%]+|}
+let ps1_re = Regexen.Regex.compile {|^[a-z0-9_\-\\/:\.\$%]+\.ps1\b|}
+
+let ps1_paths src =
+  Regexen.Regex.find_all path_run_re src
+  |> List.concat_map (fun m -> matches_of ps1_re (Regexen.Regex.matched_text src m))
   |> List.sort_uniq Strcase.compare
 
 let valid_ip s =
@@ -39,7 +51,7 @@ let extract src =
   let ips = List.filter valid_ip (matches_of ip_re src) in
   (* IPs inside extracted URLs still count as one indicator each, as the
      paper counts them separately *)
-  let ps1_files = matches_of ps1_re src in
+  let ps1_files = ps1_paths src in
   let powershell_commands = matches_of powershell_re src in
   { ps1_files; powershell_commands; urls; ips }
 

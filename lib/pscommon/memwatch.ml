@@ -79,16 +79,3 @@ let install_alarm () =
              Telemetry.Metrics.set m_heap bytes;
              Telemetry.Metrics.set m_level (level_rank (level_of_bytes bytes))
            with _ -> ()))
-
-let to_json () =
-  Printf.sprintf
-    "{\"level\": \"%s\", \"heap_bytes\": %d, \"soft_bytes\": %s, \
-     \"hard_bytes\": %s}"
-    (level_name (level ()))
-    (heap_bytes ())
-    (match soft_watermark_bytes () with
-    | None -> "null"
-    | Some b -> string_of_int b)
-    (match hard_watermark_bytes () with
-    | None -> "null"
-    | Some b -> string_of_int b)

@@ -45,6 +45,3 @@ val set_override : level option -> unit
 val install_alarm : unit -> unit
 (** Install the end-of-major-cycle Gc alarm that keeps the gauges fresh.
     Idempotent; the alarm never raises. *)
-
-val to_json : unit -> string
-(** One-line JSON snapshot: level, heap bytes, both watermarks. *)

@@ -125,6 +125,47 @@ let test_keyinfo_intersection () =
   let inter = Keyinfo.intersection ~ground_truth:ground got in
   check_i "only common counted" 1 (Keyinfo.count inter)
 
+(* the whole-text search [Keyinfo] used to run, kept here as the
+   reference for its one anchored match per run of path characters *)
+let ps1_re = Regexen.Regex.compile {|[a-z0-9_\-\\/:\.\$%]+\.ps1\b|}
+
+let ps1_reference src =
+  List.map (Regexen.Regex.matched_text src) (Regexen.Regex.find_all ps1_re src)
+  |> List.sort_uniq Strcase.compare
+
+(* path-heavy strings: runs of path characters cut by a few separators,
+   with [.ps1] endings in every case and followed by word or non-word
+   characters *)
+let path_heavy =
+  let pieces =
+    [| ".ps1"; ".PS1"; ".pS1x"; ".ps"; "1"; "a"; "Z"; "_"; "-"; "\\"; "/";
+       ":"; "."; "$"; "%"; " "; "'"; "("; "\xc3\xa9" |]
+  in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_range 0 60)
+           (map (Array.get pieces) (int_bound (Array.length pieces - 1)))))
+
+let prop_ps1_scan_matches_regex =
+  QCheck.Test.make ~name:"keyinfo: ps1 scan equals the regex" ~count:1000
+    path_heavy (fun src ->
+      (Keyinfo.extract src).Keyinfo.ps1_files = ps1_reference src)
+
+(* one match per run of path characters: a 64k-character run costs
+   milliseconds, with and without a match at its start *)
+let test_keyinfo_long_run_linear () =
+  let run = String.make 65536 'a' in
+  let t0 = Unix.gettimeofday () in
+  let none = Keyinfo.extract ("C:\\" ^ run ^ " x") in
+  let one = Keyinfo.extract ("x.ps1/" ^ run ^ ".ps1x") in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (list string)) "no ps1 in the run" [] none.Keyinfo.ps1_files;
+  Alcotest.(check (list string)) "one ps1 at the run's start" [ "x.ps1" ]
+    one.Keyinfo.ps1_files;
+  check_b (Printf.sprintf "64k-char runs scanned in %.3f s (budget 1 s)" elapsed)
+    true (elapsed < 1.0)
+
 (* ---------- sandbox ---------- *)
 
 let test_sandbox_records_and_compares () =
@@ -190,6 +231,8 @@ let suite =
     ("keyinfo bad ips", `Quick, test_keyinfo_rejects_bad_ips);
     ("keyinfo dedup", `Quick, test_keyinfo_dedup);
     ("keyinfo intersection", `Quick, test_keyinfo_intersection);
+    ("keyinfo long path run", `Quick, test_keyinfo_long_run_linear);
+    QCheck_alcotest.to_alcotest prop_ps1_scan_matches_regex;
     ("sandbox record/compare", `Quick, test_sandbox_records_and_compares);
     ("sandbox effectiveness rule", `Quick, test_sandbox_effective_requires_change);
     ("sandbox error keeps events", `Quick, test_sandbox_error_keeps_events);

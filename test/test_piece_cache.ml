@@ -219,11 +219,7 @@ let test_batch_persistent_warm_run_identical () =
       List.iter2
         (check_s "cold/warm outputs byte-identical")
         (outputs_of out_cold files) (outputs_of out_warm files);
-      let loads =
-        match warm.Deobf.Batch.cache_stats with
-        | Some s -> s.Cache.persistent_loads
-        | None -> 0
-      in
+      let loads = warm.Deobf.Batch.cache_stats.Cache.persistent_loads in
       check_b "warm run answered lookups from disk" true (loads > 0);
       ignore cold)
 

@@ -407,8 +407,122 @@ let test_warm_cache_identical_output () =
       in
       check_s "daemon output equals direct engine output" direct (out cold))
 
+(* ---------- one snapshot schema ---------- *)
+
+(* the members of the JSON object that starts at [i], as (key, index of
+   the value) in document order — enough of a parser for our own output *)
+let members json i =
+  let n = String.length json in
+  let rec string_end j =
+    if json.[j] = '\\' then string_end (j + 2)
+    else if json.[j] = '"' then j
+    else string_end (j + 1)
+  in
+  let rec value_start j =
+    if json.[j] = ' ' || json.[j] = ':' then value_start (j + 1) else j
+  in
+  let rec go j depth expect_key acc =
+    if j >= n || depth = 0 then List.rev acc
+    else
+      match json.[j] with
+      | '"' ->
+          let e = string_end (j + 1) in
+          if depth = 1 && expect_key then
+            go (e + 1) depth false
+              ((String.sub json (j + 1) (e - j - 1), value_start (e + 1)) :: acc)
+          else go (e + 1) depth false acc
+      | '{' | '[' -> go (j + 1) (depth + 1) false acc
+      | '}' | ']' -> go (j + 1) (depth - 1) false acc
+      | ',' -> go (j + 1) depth true acc
+      | _ -> go (j + 1) depth expect_key acc
+  in
+  go (i + 1) 1 true []
+
+(* the sorted keys of a top-level object member; [] when absent *)
+let object_keys json key =
+  match List.assoc_opt key (members json 0) with
+  | Some i when json.[i] = '{' -> List.sort compare (List.map fst (members json i))
+  | _ -> []
+
+let check_hit_rate what json =
+  let cache =
+    match List.assoc_opt "cache" (members json 0) with
+    | Some i -> String.sub json i (String.index_from json i '}' - i + 1)
+    | None -> Alcotest.failf "%s: no cache block" what
+  in
+  let get k =
+    match Jsonl.float_field cache k with
+    | Some v -> v
+    | None -> Alcotest.failf "%s: no cache.%s" what k
+  in
+  let hits = get "hits" and lookups = get "lookups" in
+  check_b (what ^ ": the cache saw hits") true (hits > 0.0 && lookups > hits);
+  check_b
+    (Printf.sprintf "%s: hit_rate %.3f = hits/lookups %.0f/%.0f" what
+       (get "hit_rate") hits lookups)
+    true
+    (Float.abs (get "hit_rate" -. (hits /. lookups)) < 0.0006)
+
+(* metrics.json, the daemon's metrics op and its --metrics-out file are
+   one snapshot rendered by one printer: the same cache/dynamic/selfheal
+   key sets, and one hit-rate definition *)
+let test_one_snapshot_schema () =
+  with_temp_dir "schema" @@ fun dir ->
+  let corpus = Filename.concat dir "corpus" and out = Filename.concat dir "out" in
+  Sys.mkdir corpus 0o755;
+  let scripts =
+    List.map
+      (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.obfuscated)
+      (Corpus.Generator.generate ~seed:7 ~count:6)
+  in
+  List.iteri
+    (fun i src ->
+      Out_channel.with_open_bin
+        (Filename.concat corpus (Printf.sprintf "s%d.ps1" i))
+        (fun oc -> Out_channel.output_string oc src))
+    scripts;
+  ignore (Deobf.Batch.run_dir ~timeout_s:30.0 ~out_dir:out ~jobs:1 corpus);
+  let batch =
+    Jsonl.oneline
+      (In_channel.with_open_bin (Filename.concat out "metrics.json")
+         In_channel.input_all)
+  in
+  let metrics_out = Filename.concat dir "final-metrics.json" in
+  let op = ref "" in
+  with_server "schema-d"
+    (fun bind ->
+      { (Serve.default_config bind) with
+        Serve.jobs = 1;
+        metrics_out = Some metrics_out })
+    (fun sock _server ->
+      let fd = connect sock in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      let work = scripts @ [ piece_script; piece_script ] in
+      List.iteri
+        (fun i src -> send_all fd (request ~id:(string_of_int i) ~script:src ()))
+        work;
+      ignore (read_lines fd (List.length work));
+      send_all fd (request ~id:"m" ~op:"metrics" ());
+      op := response_for (read_lines fd 1) "m");
+  let drained =
+    Jsonl.oneline (In_channel.with_open_bin metrics_out In_channel.input_all)
+  in
+  List.iter
+    (fun block ->
+      let keys = object_keys batch block in
+      check_b ("metrics.json has a " ^ block ^ " block") true (keys <> []);
+      Alcotest.(check (list string))
+        ("metrics op " ^ block ^ " keys") keys (object_keys !op block);
+      Alcotest.(check (list string))
+        ("--metrics-out " ^ block ^ " keys") keys (object_keys drained block))
+    [ "cache"; "dynamic"; "selfheal" ];
+  check_hit_rate "metrics.json" batch;
+  check_hit_rate "metrics op" !op
+
 let suite =
   [
+    Alcotest.test_case "one snapshot schema and hit rate" `Quick
+      test_one_snapshot_schema;
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "health and metrics ops" `Quick test_health_and_metrics;
     Alcotest.test_case "malformed and unknown requests" `Quick

@@ -238,7 +238,7 @@ let test_batch_trace_identity () =
         (Pscommon.Strcase.contains ~needle:"\"name\": \"batch.file\"" trace))
     files;
   (* the rollup is valid for this run: counts cover all six files *)
-  let rollup = Deobf.Batch.metrics_json s2 in
+  let rollup = Deobf.Snapshot.to_json (Deobf.Batch.snapshot s2) in
   check_b "rollup lists the cache" true
     (Pscommon.Strcase.contains ~needle:"\"pieces_attempted\"" rollup)
 
